@@ -6,6 +6,7 @@
 package dsmsd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -117,6 +118,19 @@ type IngestReq struct {
 	Tuple  stream.Tuple `json:"tuple"`
 }
 
+// AppendBinary encodes the request in stream's binary tuple codec.
+func (r IngestReq) AppendBinary(b []byte) ([]byte, error) {
+	return r.Tuple.AppendBinary(stream.AppendWireString(b, r.Stream))
+}
+
+// UnmarshalBinary decodes the AppendBinary form.
+func (r *IngestReq) UnmarshalBinary(data []byte) error {
+	rd := stream.NewWireReader(data)
+	r.Stream = rd.Str()
+	r.Tuple = rd.Tuple()
+	return rd.Done()
+}
+
 // IngestBatchReq appends a batch of tuples to a stream in one round
 // trip; the engine admits the batch under a single pass through its
 // lock. Prevalidated marks batches an upstream runtime already checked
@@ -125,6 +139,23 @@ type IngestBatchReq struct {
 	Stream       string         `json:"stream"`
 	Tuples       []stream.Tuple `json:"tuples"`
 	Prevalidated bool           `json:"prevalidated,omitempty"`
+}
+
+// AppendBinary encodes the request in stream's binary tuple codec.
+func (r IngestBatchReq) AppendBinary(b []byte) ([]byte, error) {
+	b = stream.AppendWireBool(stream.AppendWireString(b, r.Stream), r.Prevalidated)
+	return stream.AppendTuples(b, r.Tuples), nil
+}
+
+// UnmarshalBinary decodes the AppendBinary form. It sets Prevalidated
+// only from the flag on the wire, which the server honours only under
+// TrustPrevalidated.
+func (r *IngestBatchReq) UnmarshalBinary(data []byte) error {
+	rd := stream.NewWireReader(data)
+	r.Stream = rd.Str()
+	r.Prevalidated = rd.Bool()
+	r.Tuples = rd.Tuples()
+	return rd.Done()
 }
 
 // IngestBatchResp reports the admission outcome of one wire batch:
@@ -200,6 +231,22 @@ type ReplicateReq struct {
 	Base   uint64         `json:"base"`
 	Reset  bool           `json:"reset,omitempty"`
 	Tuples []stream.Tuple `json:"tuples"`
+}
+
+// AppendBinary encodes the request in stream's binary tuple codec.
+func (r ReplicateReq) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.AppendUvarint(stream.AppendWireString(b, r.Stream), r.Base)
+	return stream.AppendTuples(stream.AppendWireBool(b, r.Reset), r.Tuples), nil
+}
+
+// UnmarshalBinary decodes the AppendBinary form.
+func (r *ReplicateReq) UnmarshalBinary(data []byte) error {
+	rd := stream.NewWireReader(data)
+	r.Stream = rd.Str()
+	r.Base = rd.Uvarint()
+	r.Reset = rd.Bool()
+	r.Tuples = rd.Tuples()
+	return rd.Done()
 }
 
 // ReplicateResp acknowledges the follower's applied replication

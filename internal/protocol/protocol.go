@@ -1,12 +1,25 @@
 // Package protocol implements the socket protocol the eXACML+ entities
 // speak among themselves (the prototype's communications between
-// clients, proxies and servers are socket-based): length-prefixed JSON
-// frames carrying typed request/response messages, plus a small
-// concurrent RPC client.
+// clients, proxies and servers are socket-based): binary frames
+// carrying typed request/response messages, plus a small concurrent
+// RPC client. A frame is
+//
+//	length   uint32, big-endian: the bytes after it (≤ MaxFrameSize)
+//	version  one byte, Version
+//	id       uvarint
+//	type     uvarint length, bytes
+//	error    uvarint length, bytes
+//	code     uvarint length, bytes
+//	payload  the remaining bytes, raw
+//
+// Tuples and tuple-batch requests carry stream's binary batch codec as
+// their payload; control messages carry JSON (see Encode).
 package protocol
 
 import (
 	"bufio"
+	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -27,9 +40,18 @@ var ErrClosed = errors.New("protocol: connection closed")
 // usable and the error is never wrapped in ErrClosed.
 var ErrFrameTooLarge = errors.New("protocol: frame too large")
 
+// ErrVersion is returned by ReadFrame for a frame whose version byte is
+// not Version — a peer built from another revision of this protocol,
+// or a JSON-era peer, whose frames start with '{'. There is no
+// negotiation: the reading side closes the connection.
+var ErrVersion = errors.New("protocol: unsupported frame version")
+
 // MaxFrameSize bounds a single frame (16 MiB) to contain damage from a
 // corrupt or hostile peer.
 const MaxFrameSize = 16 << 20
+
+// Version is the first byte of every frame body.
+const Version = 2
 
 // Structured error codes carried on ".err" responses (Message.Code), so
 // peers can branch on the kind of failure without matching error text.
@@ -90,55 +112,60 @@ type Message struct {
 	// Type dispatches the handler ("access", "load_policy", "deploy",
 	// ...). Responses use the request type suffixed with ".ok" or
 	// ".err".
-	Type string `json:"type"`
+	Type string
 	// ID correlates responses with requests on a multiplexed
 	// connection. Server-pushed stream tuples use ID of their
 	// subscription request.
-	ID uint64 `json:"id"`
-	// Payload is the type-specific body.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	ID uint64
+	// Payload is the type-specific body, carried raw: the binary
+	// encoding of a payload type that implements
+	// encoding.BinaryAppender, JSON otherwise (see Encode).
+	Payload json.RawMessage
 	// Error carries the error text on ".err" responses.
-	Error string `json:"error,omitempty"`
+	Error string
 	// Code is the structured error code on ".err" responses (see the
 	// Code* constants); empty for unclassified errors.
-	Code string `json:"code,omitempty"`
+	Code string
 }
 
-// marshalFrame encodes a message and enforces the frame-size bound;
-// its errors are request errors (the connection, if any, is unharmed).
-func marshalFrame(m *Message) ([]byte, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: marshal: %w", err)
+// frameHeader appends m's length prefix, version byte and header
+// fields to buf and enforces the frame-size bound; its errors are
+// request errors (the connection, if any, is unharmed).
+func frameHeader(buf []byte, m *Message) ([]byte, error) {
+	hdr := append(buf, 0, 0, 0, 0, Version)
+	hdr = binary.AppendUvarint(hdr, m.ID)
+	for _, f := range [...]string{m.Type, m.Error, m.Code} {
+		hdr = binary.AppendUvarint(hdr, uint64(len(f)))
+		hdr = append(hdr, f...)
 	}
-	if len(data) > MaxFrameSize {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(data))
+	n := len(hdr) - 4 + len(m.Payload)
+	if n > MaxFrameSize {
+		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	return data, nil
+	binary.BigEndian.PutUint32(hdr, uint32(n))
+	return hdr, nil
 }
 
-// writeFrameBytes writes one already-marshalled frame: 4-byte
-// big-endian length prefix, then the payload.
-func writeFrameBytes(w io.Writer, data []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame writes a frame header and the payload after it.
+func writeFrame(w io.Writer, hdr, payload []byte) error {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	_, err := w.Write(data)
+	_, err := w.Write(payload)
 	return err
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one frame.
 func WriteFrame(w io.Writer, m *Message) error {
-	data, err := marshalFrame(m)
+	hdr, err := frameHeader(nil, m)
 	if err != nil {
 		return err
 	}
-	return writeFrameBytes(w, data)
+	return writeFrame(w, hdr, m.Payload)
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one frame. A frame whose version byte is not Version
+// (a JSON-era frame starts with '{') fails with ErrVersion.
 func ReadFrame(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -148,33 +175,100 @@ func ReadFrame(r io.Reader) (*Message, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := readBody(r, int(n))
+	if err != nil {
 		return nil, err
 	}
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("protocol: unmarshal: %w", err)
-	}
-	return &m, nil
+	return parseFrame(data)
 }
 
-// Encode marshals a payload into a message.
+// readChunk is the largest frame body read into a buffer sized by its
+// length prefix alone.
+const readChunk = 64 << 10
+
+// readBody reads an n-byte frame body. Beyond readChunk the buffer grows
+// with the bytes that actually arrive, so a length prefix without its
+// body cannot make the reader allocate a whole frame.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n <= readChunk {
+		data := make([]byte, n)
+		_, err := io.ReadFull(r, data)
+		return data, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, readChunk))
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// parseFrame decodes a frame body; the payload aliases data.
+func parseFrame(data []byte) (*Message, error) {
+	if len(data) == 0 || data[0] != Version {
+		v := -1
+		if len(data) > 0 {
+			v = int(data[0])
+		}
+		return nil, fmt.Errorf("%w %d (want %d)", ErrVersion, v, Version)
+	}
+	data = data[1:]
+	id, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, errors.New("protocol: malformed frame header: bad id")
+	}
+	data = data[k:]
+	var fields [3]string
+	for i := range fields {
+		l, k := binary.Uvarint(data)
+		if k <= 0 || l > uint64(len(data)-k) {
+			return nil, errors.New("protocol: malformed frame header: bad field length")
+		}
+		fields[i] = string(data[k : k+int(l)])
+		data = data[k+int(l):]
+	}
+	m := &Message{Type: fields[0], ID: id, Error: fields[1], Code: fields[2]}
+	if len(data) > 0 {
+		m.Payload = data
+	}
+	return m, nil
+}
+
+// Encode builds a message around a payload. The payload's Go type
+// chooses its encoding: an encoding.BinaryAppender (tuples and every
+// tuple-batch request) is carried as its binary form, anything else as
+// JSON. Decode makes the same choice from the type it decodes into, so
+// both ends of a message type agree without any flag on the wire.
 func Encode(typ string, id uint64, payload any) (*Message, error) {
-	raw, err := json.Marshal(payload)
+	var raw []byte
+	var err error
+	if a, ok := payload.(encoding.BinaryAppender); ok {
+		raw, err = a.AppendBinary(nil)
+	} else {
+		raw, err = json.Marshal(payload)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("protocol: encode %s: %w", typ, err)
 	}
 	return &Message{Type: typ, ID: id, Payload: raw}, nil
 }
 
-// Decode unmarshals a message payload.
+// Decode unmarshals a message payload: binary into a type whose pointer
+// implements encoding.BinaryUnmarshaler, JSON otherwise.
 func Decode[T any](m *Message) (T, error) {
 	var out T
 	if len(m.Payload) == 0 {
 		return out, nil
 	}
-	if err := json.Unmarshal(m.Payload, &out); err != nil {
+	var err error
+	if u, ok := any(&out).(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(m.Payload)
+	} else {
+		err = json.Unmarshal(m.Payload, &out)
+	}
+	if err != nil {
 		return out, fmt.Errorf("protocol: decode %s: %w", m.Type, err)
 	}
 	return out, nil
@@ -206,13 +300,14 @@ func (c *Conn) Send(m *Message) error {
 // marshal, oversized frame — the connection is still usable) separately
 // from connection I/O errors.
 func (c *Conn) send(m *Message) (reqErr, connErr error) {
-	data, err := marshalFrame(m)
+	var buf [64]byte
+	hdr, err := frameHeader(buf[:0], m)
 	if err != nil {
 		return err, nil
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeFrameBytes(c.w, data); err != nil {
+	if err := writeFrame(c.w, hdr, m.Payload); err != nil {
 		return nil, err
 	}
 	return nil, c.w.Flush()

@@ -191,13 +191,7 @@ func assertSameEmissions(t *testing.T, got, want []stream.Tuple) {
 // single-shard run bit for bit: same values, same Seq and arrival
 // provenance, same order.
 func TestGlobalAggMatchesSingleShard(t *testing.T) {
-	scenarios := []mergeScenario{
-		{name: "tuple_partial_inorder", seed: 101, shards: 2, boxes: aggOnly,
-			win:     dsms.WindowSpec{Type: dsms.WindowTuple, Size: 8, Step: 3},
-			inOrder: true, tuples: 500},
-		{name: "tuple_partial_jitter", seed: 202, shards: 4, boxes: aggOnly,
-			win:    dsms.WindowSpec{Type: dsms.WindowTuple, Size: 11, Step: 7},
-			tuples: 700},
+	scenarios := append(append([]mergeScenario(nil), tuplePartialScenarios...), []mergeScenario{
 		{name: "time_relay_inorder", seed: 303, shards: 3, boxes: aggOnly,
 			win:     dsms.WindowSpec{Type: dsms.WindowTime, Size: 100, Step: 40},
 			inOrder: true, tuples: 600},
@@ -216,65 +210,95 @@ func TestGlobalAggMatchesSingleShard(t *testing.T) {
 		{name: "remote_time_relay", seed: 808, shards: 2, remote: true, boxes: aggOnly,
 			win:    dsms.WindowSpec{Type: dsms.WindowTime, Size: 80, Step: 35},
 			tuples: 400},
-	}
+	}...)
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(sc.seed))
-			// Randomize shard count a bit further for local scenarios.
-			shards := sc.shards
-			if !sc.remote {
-				shards += rng.Intn(2)
-			}
-			// Draw a random non-empty spec subset (order preserved, so
-			// output column order is deterministic per seed).
-			var aggs []dsms.AggSpec
-			for _, a := range mergeAggPool {
-				if rng.Intn(3) > 0 {
-					aggs = append(aggs, a)
-				}
-			}
-			if len(aggs) == 0 {
-				aggs = append(aggs, mergeAggPool[0])
-			}
-			ts := genMergeTuples(rng, sc.tuples, sc.inOrder)
-			want := baselineEmissions(t, sc, aggs, ts, rand.New(rand.NewSource(sc.seed+1)))
-			if len(want) == 0 {
-				t.Fatal("baseline produced no emissions; widen the scenario")
-			}
-
-			opts := runtime.Options{Shards: shards, QueueSize: 4096}
-			if sc.remote {
-				srv, addr := startDSMSD(t, "merge-"+sc.name, nil)
-				defer srv.Close()
-				defer srv.Engine.Close()
-				specs := make([]runtime.BackendSpec, shards)
-				specs[1] = runtime.BackendSpec{Addr: addr, Remote: fastRemote()}
-				opts = runtime.Options{Backends: specs, QueueSize: 4096}
-			}
-			rt := runtime.New("part-"+sc.name, opts)
-			defer rt.Close()
-			if err := rt.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
-				t.Fatal(err)
-			}
-			dep, err := rt.Deploy(dsms.NewQueryGraph("s", sc.boxes(sc.win, aggs)...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(dep.Parts) != shards {
-				t.Fatalf("staged deploy has %d parts, want %d", len(dep.Parts), shards)
-			}
-			sub, err := rt.Subscribe(dep.Handle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sub.Close()
-			publishInBatches(t, rt, "s", ts, rand.New(rand.NewSource(sc.seed+2)))
-			rt.Flush()
-			got := collectEmissionsN(t, sub.C, len(want))
-			assertSameEmissions(t, got, want)
-			checkInvariant(t, rt)
-		})
+		t.Run(sc.name, func(t *testing.T) { runMergeScenario(t, sc) })
 	}
+}
+
+// tuplePartialScenarios are TestGlobalAggMatchesSingleShard's
+// tuple_partial_* scenarios.
+var tuplePartialScenarios = []mergeScenario{
+	{name: "tuple_partial_inorder", seed: 101, shards: 2, boxes: aggOnly,
+		win:     dsms.WindowSpec{Type: dsms.WindowTuple, Size: 8, Step: 3},
+		inOrder: true, tuples: 500},
+	{name: "tuple_partial_jitter", seed: 202, shards: 4, boxes: aggOnly,
+		win:    dsms.WindowSpec{Type: dsms.WindowTuple, Size: 11, Step: 7},
+		tuples: 700},
+}
+
+// TestStampFrontierPublishOrder forces the interleaving behind the torn
+// stamp frontier: a short sleep after every A_p store of a partitioned
+// publish lets the shard workers finish the previous batch, so the
+// merge snapshots (G, A_p) between the frontier stores.
+// With G stored before the A_p it covers, the merge settles a partition
+// up to the new G while that partition's bucket is still unqueued, and
+// the tuple_partial_* scenarios emit wrong and missing windows. With
+// every A_p stored before G, they match the single-shard run.
+func TestStampFrontierPublishOrder(t *testing.T) {
+	defer runtime.SetStampYield(func() { time.Sleep(200 * time.Microsecond) })()
+	for _, sc := range tuplePartialScenarios {
+		t.Run(sc.name, func(t *testing.T) { runMergeScenario(t, sc) })
+	}
+}
+
+// runMergeScenario runs sc over a partitioned stream and checks its
+// emissions against the single-shard baseline.
+func runMergeScenario(t *testing.T, sc mergeScenario) {
+	rng := rand.New(rand.NewSource(sc.seed))
+	// Randomize shard count a bit further for local scenarios.
+	shards := sc.shards
+	if !sc.remote {
+		shards += rng.Intn(2)
+	}
+	// Draw a random non-empty spec subset (order preserved, so
+	// output column order is deterministic per seed).
+	var aggs []dsms.AggSpec
+	for _, a := range mergeAggPool {
+		if rng.Intn(3) > 0 {
+			aggs = append(aggs, a)
+		}
+	}
+	if len(aggs) == 0 {
+		aggs = append(aggs, mergeAggPool[0])
+	}
+	ts := genMergeTuples(rng, sc.tuples, sc.inOrder)
+	want := baselineEmissions(t, sc, aggs, ts, rand.New(rand.NewSource(sc.seed+1)))
+	if len(want) == 0 {
+		t.Fatal("baseline produced no emissions; widen the scenario")
+	}
+
+	opts := runtime.Options{Shards: shards, QueueSize: 4096}
+	if sc.remote {
+		srv, addr := startDSMSD(t, "merge-"+sc.name, nil)
+		defer srv.Close()
+		defer srv.Engine.Close()
+		specs := make([]runtime.BackendSpec, shards)
+		specs[1] = runtime.BackendSpec{Addr: addr, Remote: fastRemote()}
+		opts = runtime.Options{Backends: specs, QueueSize: 4096}
+	}
+	rt := runtime.New("part-"+sc.name, opts)
+	defer rt.Close()
+	if err := rt.CreatePartitionedStream("s", mergeSchema(), "key"); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := rt.Deploy(dsms.NewQueryGraph("s", sc.boxes(sc.win, aggs)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dep.Parts) != shards {
+		t.Fatalf("staged deploy has %d parts, want %d", len(dep.Parts), shards)
+	}
+	sub, err := rt.Subscribe(dep.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	publishInBatches(t, rt, "s", ts, rand.New(rand.NewSource(sc.seed+2)))
+	rt.Flush()
+	got := collectEmissionsN(t, sub.C, len(want))
+	assertSameEmissions(t, got, want)
+	checkInvariant(t, rt)
 }
 
 // TestSubscriptionWatermarkAssumption pins the two halves of the

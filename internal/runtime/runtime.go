@@ -296,6 +296,12 @@ func (o Options) withDefaults() Options {
 
 var errClosed = errors.New("runtime: closed")
 
+// stampYield, when set by a test, runs after each A_p store of a
+// partitioned publish, before G is stored, so a test can force a merge
+// snapshot to land between the frontier stores. It is nil in
+// production.
+var stampYield func()
+
 // route records where a stream's tuples go and how they are admitted.
 type route struct {
 	name   string
@@ -367,10 +373,11 @@ type route struct {
 // G, a is partition p's assigned high position A_p. It deliberately
 // does NOT take stampMu (see the field comment: the caller sits on the
 // queue-consumer side of a possible publisher block). Lock-free reads
-// are safe because of the read order: G is loaded BEFORE A_p, so the
-// returned a is at least the A_p that was current at position g — at
-// worst newer, which only makes the caller's W_p >= a check harder to
-// pass (conservative). The caller must read its own processed
+// are safe because of the order on both sides: a publish stores every
+// A_p of its batch before it stores G, and G is loaded here BEFORE A_p,
+// so the returned a is at least the A_p that was current at position
+// g — at worst newer, which only makes the caller's W_p >= a check
+// harder to pass (conservative). The caller must read its own processed
 // watermark W_p AFTER this snapshot; W_p >= a then proves partition p
 // has no tuple in flight at or below g.
 func (r *route) stampFrontier(p int) (g, a uint64) {
@@ -1382,12 +1389,14 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 	var firstErr error
 	r.stampMu.Lock()
 	now := coarsetime.NowMillis()
+	g := r.stampG.Load()
 	buckets := make([][]stream.Tuple, len(rt.shards))
 	for i := range ts {
 		if ts[i].ArrivalMillis == 0 {
 			ts[i].ArrivalMillis = now
 		}
-		ts[i].Seq = r.stampG.Add(1)
+		g++
+		ts[i].Seq = g
 		kv := ts[i].Values[r.keyIdx]
 		if !kv.IsNull() && kv.Type() != keyType {
 			if cv, err := kv.CoerceTo(keyType); err == nil {
@@ -1397,6 +1406,45 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		si := int(hashValue(kv) % uint32(len(rt.shards)))
 		buckets[si] = append(buckets[si], ts[i])
 	}
+	// Resolve each bucket's shard, then publish the stamp frontier in
+	// the order the merge's lock-free snapshot relies on: every
+	// bucket's A_src first, G once after them. A snapshot loads G
+	// before A_p (see stampFrontier), so one that sees this batch's G
+	// also sees an A_p covering every position of the batch routed to
+	// p — before any of those tuples can surface in a shard watermark.
+	// A bucket the shard then refuses leaves its positions permanently
+	// unwatermarked; the merge stage stalls on such holes until its
+	// lateness bound (if any) forces release.
+	tgts := make([]int, len(buckets))
+	for si, bucket := range buckets {
+		if len(bucket) == 0 {
+			continue
+		}
+		src := si
+		if r.subs != nil {
+			// Replicated partition: the bucket lands on the sub-route's
+			// current primary and feeds its replication log. The record
+			// source stays the logical partition — whichever shard hosts
+			// it after failover serves the same "name@p" stream.
+			sub := r.subs[si]
+			tgts[si] = rt.targetShard(sub, sub.shard)
+		} else {
+			// Without replication the record source is the physical
+			// shard: under FailoverReroute a dead shard's bucket flows to
+			// a survivor's stream, and the survivor's watermark is what
+			// covers these positions (several buckets may share it, so
+			// A only ever rises).
+			tgts[si] = rt.targetShard(r, si)
+			src = tgts[si]
+		}
+		if last := bucket[len(bucket)-1].Seq; last > r.stampA[src].Load() {
+			r.stampA[src].Store(last)
+		}
+		if stampYield != nil {
+			stampYield()
+		}
+	}
+	r.stampG.Store(g)
 	// A failed shard refuses its bucket (accounted as errors); the
 	// remaining buckets must still be offered to their shards or the
 	// per-stream accounting would leak the skipped tuples. The first
@@ -1405,32 +1453,14 @@ func (rt *Runtime) PublishBatchVerdict(streamName string, ts []stream.Tuple) (Pu
 		if len(bucket) == 0 {
 			continue
 		}
+		sname, repl := r.name, (*replicator)(nil)
+		if r.subs != nil {
+			sname, repl = r.subs[si].name, r.subs[si].repl
+		}
 		// The span rides with the first dispatched bucket; the others go
 		// untraced (per-bucket spans would multiply one sampled publish
 		// into shard-count traces).
-		sname, repl, tgt := r.name, (*replicator)(nil), rt.targetShard(r, si)
-		src := si
-		if r.subs != nil {
-			// Replicated partition: the bucket lands on the sub-route's
-			// current primary and feeds its replication log. The record
-			// source stays the logical partition — whichever shard hosts
-			// it after failover serves the same "name@p" stream.
-			sub := r.subs[si]
-			sname, repl, tgt = sub.name, sub.repl, rt.targetShard(sub, sub.shard)
-		} else {
-			// Without replication the record source is the physical
-			// shard: under FailoverReroute a dead shard's bucket flows to
-			// a survivor's stream, and the survivor's watermark is what
-			// covers these positions.
-			src = tgt
-		}
-		// A_src must cover the bucket before its tuples can surface in a
-		// shard watermark; the stamp lock makes the pair (G, A) consistent
-		// for frontier snapshots. A bucket the shard then refuses leaves
-		// its positions permanently unwatermarked — the merge stage stalls
-		// on such holes until its lateness bound (if any) forces release.
-		r.stampA[src].Store(bucket[len(bucket)-1].Seq)
-		n, err := rt.shards[tgt].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
+		n, err := rt.shards[tgts[si]].enqueue(sname, ad.cfg.Class, r.counters, repl, bucket, sp)
 		sp = nil
 		v.Accepted += n
 		if err != nil && firstErr == nil {

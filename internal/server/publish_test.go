@@ -15,6 +15,19 @@ import (
 // server exposes the publish path, and returns a connected client.
 func startShardedStack(t *testing.T, shards int) (*client.Client, *core.Framework) {
 	t.Helper()
+	addr, fw := startShardedServer(t, shards)
+	cli, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+	return cli, fw
+}
+
+// startShardedServer brings up an embedded sharded framework behind a
+// data server with the publish path and returns the server's address.
+func startShardedServer(t *testing.T, shards int) (string, *core.Framework) {
+	t.Helper()
 	fw := core.NewWithOptions("cloud", core.Options{Shards: shards, Policy: runtime.Block})
 	t.Cleanup(fw.Close)
 	if err := fw.RegisterStream("weather", weatherSchema()); err != nil {
@@ -27,12 +40,7 @@ func startShardedStack(t *testing.T, shards int) (*client.Client, *core.Framewor
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	cli, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = cli.Close() })
-	return cli, fw
+	return addr, fw
 }
 
 // TestServerPublishPath drives the full TCP loop: load a policy, get a

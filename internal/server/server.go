@@ -100,6 +100,20 @@ type PublishReq struct {
 	Tuples []stream.Tuple `json:"tuples"`
 }
 
+// AppendBinary encodes the request for the wire: the stream name, then
+// the batch in stream's binary tuple codec. It never fails.
+func (r PublishReq) AppendBinary(b []byte) ([]byte, error) {
+	return stream.AppendTuples(stream.AppendWireString(b, r.Stream), r.Tuples), nil
+}
+
+// UnmarshalBinary decodes the AppendBinary form.
+func (r *PublishReq) UnmarshalBinary(data []byte) error {
+	rd := stream.NewWireReader(data)
+	r.Stream = rd.Str()
+	r.Tuples = rd.Tuples()
+	return rd.Done()
+}
+
 // PublishResp reports the admission verdict: how many tuples were
 // offered, how many the stream's quota shed before reaching a shard,
 // and how many the backpressure policy accepted into shard queues.

@@ -5,13 +5,17 @@ import (
 	"fmt"
 )
 
-// wireValue is the JSON wire form of a Value: {"t":"int","v":...}.
+// The JSON forms below serve everything that is not a wire batch:
+// durable checkpoints, migrated and staged window state, and control
+// payloads. Batches on the wire use the binary codec in wire.go.
+
+// wireValue is the JSON form of a Value: {"t":"int","v":...}.
 type wireValue struct {
 	T string          `json:"t"`
 	V json.RawMessage `json:"v,omitempty"`
 }
 
-// MarshalJSON encodes the value for the socket protocol.
+// MarshalJSON encodes the value as tagged JSON.
 func (v Value) MarshalJSON() ([]byte, error) {
 	var payload any
 	switch v.typ {
@@ -88,7 +92,7 @@ type wireTuple struct {
 	Seq     uint64  `json:"seq,omitempty"`
 }
 
-// MarshalJSON encodes the tuple for the socket protocol.
+// MarshalJSON encodes the tuple as JSON.
 func (t Tuple) MarshalJSON() ([]byte, error) {
 	return json.Marshal(wireTuple{Values: t.Values, Arrival: t.ArrivalMillis, Seq: t.Seq})
 }
